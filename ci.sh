@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test -q
 
+echo "== cargo test --workspace (every crate's unit and integration tests)"
+# The root package's tests above cover the facade crate only; this runs
+# the unit tests of mpk, speccore, nbody, obs, perfmodel, workloads,
+# netsim, bench and the rest of the workspace.
+cargo test --workspace -q
+
 echo "== speccheck conformance & property suite (64 cases/property, fixed seeds)"
 # Differential conformance (sim vs thread transport, speculative vs
 # baseline under exact semantics), schedule-perturbation determinism,

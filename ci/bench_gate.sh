@@ -42,8 +42,8 @@ TOLERANCE="0.75"
 MIN_DELTA_RATIO="3.0"
 
 if ! command -v jq >/dev/null 2>&1; then
-    echo "bench gate: jq not found; skipping (gate requires jq)" >&2
-    exit 0
+    echo "bench gate: jq not found; the gate requires jq" >&2
+    exit 1
 fi
 
 if [[ ! -f "$ARTIFACT" ]]; then

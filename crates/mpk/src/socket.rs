@@ -1624,6 +1624,22 @@ mod tests {
     use super::*;
     use netsim::{Loss, NoFaults};
 
+    /// Dial `addr` as a raw client, retrying while nothing listens there
+    /// yet: a test that releases a port and hands it to a rank spawned on
+    /// another thread must not race that rank's `bind`.
+    fn dial_when_bound(addr: SocketAddr) -> TcpStream {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => return s,
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("dial {addr}: {e}"),
+            }
+        }
+    }
+
     fn supervised(interval_ms: u64, miss_ms: u64) -> SocketClusterOptions {
         SocketClusterOptions {
             supervision: Some(SupervisorOptions {
@@ -1974,13 +1990,13 @@ mod tests {
             (env.msg, t.handshake_rejects())
         });
         // Junk flavour 1: connect and EOF before sending any HELLO.
-        let s = TcpStream::connect(addrs[0]).unwrap();
+        let s = dial_when_bound(addrs[0]);
         s.shutdown(Shutdown::Both).unwrap();
         drop(s);
         // Junk flavour 2: a well-formed HELLO claiming an impossible
         // rank (rank 0 itself), then linger so the reject is observed
         // before the real peer's HELLO enters the queue.
-        let mut s = TcpStream::connect(addrs[0]).unwrap();
+        let mut s = dial_when_bound(addrs[0]);
         write_hello(&mut s, 0, 2).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         drop(s);
@@ -2023,7 +2039,7 @@ mod tests {
         // Fake rank 1: real HELLO handshake, then a frame whose length
         // prefix promises 64 bytes but whose body stops after the
         // version byte, then an abrupt close.
-        let mut s = TcpStream::connect(addrs[0]).unwrap();
+        let mut s = dial_when_bound(addrs[0]);
         write_hello(&mut s, 1, 2).unwrap();
         assert_eq!(read_hello(&mut s, 2, DEFAULT_MAX_FRAME).unwrap(), 0);
         s.write_all(&64u32.to_le_bytes()).unwrap();
