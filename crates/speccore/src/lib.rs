@@ -24,7 +24,7 @@
 //!   checkpointing hooks;
 //! * [`run_baseline`] / [`run_speculative`] — the Figure 1 and Figure 3
 //!   drivers; the speculative driver generalizes to any forward window
-//!   (§3.2) with checkpoint/rollback, and to an adaptive window;
+//!   (§3.2) with checkpoint/rollback;
 //! * [`History`] — the backward window (BW) of past peer values;
 //! * [`speculator`] — stock speculation functions (hold, linear, quadratic,
 //!   weighted-sum — the paper's §3.1 family);
@@ -49,10 +49,7 @@ pub mod speculator;
 mod stats;
 
 pub use app::{CheckOutcome, SpeculativeApp};
-pub use config::{
-    AdaptiveWindow, CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig,
-    WindowPolicy,
-};
+pub use config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
 pub use control::ControllerConfig;
 pub use driver::{
     run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg, MsgBody,

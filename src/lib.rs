@@ -88,9 +88,9 @@ pub mod prelude {
     };
     pub use perfmodel::{CommModel, ModelParams};
     pub use speccore::{
-        run_baseline, run_speculative, CheckOutcome, ClusterStats, CorrectionMode, DeltaExchange,
-        FaultTolerance, History, IterMsg, IterationLog, MsgBody, PhaseBreakdown, RunStats,
-        SpecConfig, SpeculativeApp, SupervisionConfig, WindowPolicy,
+        run_baseline, run_speculative, CheckOutcome, ClusterStats, ControllerConfig,
+        CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg, IterationLog, MsgBody,
+        PhaseBreakdown, RunStats, SpecConfig, SpeculativeApp, SupervisionConfig,
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,

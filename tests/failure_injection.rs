@@ -1,5 +1,5 @@
 //! Adverse-condition tests: jittery reordering networks, extreme transient
-//! stalls, heavy background load, adaptive windows under shifting
+//! stalls, heavy background load, controller-driven windows under shifting
 //! conditions — the driver must stay live, correct, and deterministic.
 
 use speculative_computation::prelude::*;
@@ -127,6 +127,7 @@ fn baseline_and_speculative_agree_under_chaos_with_exact_config() {
 
 #[test]
 fn adaptive_window_deepens_then_retreats() {
+    // The adaptive controller owns the forward window (up to 4 here).
     // Phase 1: slow network, perfect speculation — window should grow.
     // Phase 2 (separate run): jumpy values — window should stay shallow.
     let run = |jump_prob: f64| {
@@ -134,16 +135,7 @@ fn adaptive_window_deepens_then_retreats() {
         let p = 4;
         let cluster = ClusterSpec::homogeneous(p, 10.0);
         let ranges = even_ranges(n, p);
-        let cfg = SpecConfig {
-            window: WindowPolicy::adaptive(1, 4),
-            backward_window: 2,
-            correction: CorrectionMode::Incremental,
-            collect_log: false,
-            fault: None,
-            delta: None,
-            supervision: None,
-            controller: None,
-        };
+        let cfg = SpecConfig::speculative(1).with_adaptive(ControllerConfig::default());
         let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(50)),
