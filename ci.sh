@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "== cargo test"
 cargo test -q
 
@@ -27,22 +30,16 @@ echo "== speccheck conformance & property suite (64 cases/property, fixed seeds)
 # every historical counterexample first.
 cargo test -q -p speccheck
 
-echo "== stackless kernel differential suite (threaded vs event-scheduled)"
-# The two desim execution models — one OS thread per rank
-# (legacy-threads) and resumable state machines inside the event kernel
-# (stackless) — must be bit-identical: per-rank fingerprints, RunStats,
-# virtual end time, and the kernel's own event/message/timer counters.
-# The suite replays the checked-in proptest-regressions witnesses on
-# both kernels and runs the failure-injection chaos matrix
-# differentially at the mpk level (full SimReport equality).
+echo "== thread-backed vs async ranks differential suite"
+# A desim rank is either a blocking closure on its own OS thread or an
+# async state machine; both are Process adapters dispatched by one kernel
+# loop over one mpk wire model, and must agree bit for bit: per-rank
+# fingerprints, RunStats, virtual end time, and the kernel's own
+# event/message/timer counters. The suite replays the checked-in
+# proptest-regressions witnesses through both front-ends and runs the
+# failure-injection chaos matrix differentially at the mpk level (full
+# SimReport equality).
 cargo test -q --test stackless_equivalence
-
-echo "== desim without legacy-threads (stackless-only build)"
-# The stackless kernel must build and pass its suite with the threaded
-# runner compiled out entirely (the cfg the differential suite exists
-# to police).
-cargo build -q -p desim --no-default-features
-cargo test -q -p desim --no-default-features
 
 echo "== regression corpus replay + full-grid inertness (explicit)"
 # Re-run the two properties whose checked-in counterexamples pinned the

@@ -6,24 +6,25 @@
 //! Computation: Overcoming Communication Delays in Parallel Algorithms"*
 //! (ICPP 1994): simulated "workstations" run real Rust closures, exchange
 //! messages through mailboxes with modelled delays, and burn virtual CPU time
-//! with [`ProcessHandle::advance`].
+//! with [`AsyncHandle::advance`].
 //!
 //! ## Execution model
 //!
-//! * Each simulated process is a **stackless state machine** owned by the
-//!   kernel ([`Simulation::spawn_process`] for an explicit [`Process`]
-//!   impl, [`Simulation::spawn_async`] for a compiler-generated one from an
+//! * Each simulated process is a **state machine** owned by the kernel
+//!   ([`Simulation::spawn_process`] for an explicit [`Process`] impl,
+//!   [`Simulation::spawn_async`] for a compiler-generated one from an
 //!   `async fn`). The kernel grants execution to exactly one process at a
 //!   time, resuming whichever has the earliest pending event, so the
 //!   simulation is sequential and **bit-for-bit deterministic** — ties at
 //!   equal virtual times break by event insertion order (or the configured
 //!   [`TieBreak`]). No OS thread is spawned per rank, so simulations scale
 //!   to hundreds of thousands of processes.
-//! * The original one-OS-thread-per-process model
-//!   ([`Simulation::spawn`]) survives behind the on-by-default
-//!   `legacy-threads` feature; the two kernels share one event loop and
-//!   produce bit-identical event streams, which the differential
-//!   conformance suite enforces.
+//! * [`Simulation::spawn`] runs a blocking closure on its own OS thread
+//!   behind a [`ProcessHandle`]. The kernel drives that thread through one
+//!   more `Process` adapter, so it goes through the same dispatch loop and
+//!   produces the same event stream as an `async` body issuing the same
+//!   operations; it only costs a thread and two context switches per
+//!   operation.
 //! * Virtual time only moves when a process advances it (modelling
 //!   computation) or blocks in a receive (modelling waiting for a message).
 //! * Messages are sent with an explicit delivery delay chosen by the caller —
@@ -71,16 +72,16 @@ mod trace;
 pub use event::{EventKey, EventKind, EventQueue, Payload, TieBreak};
 pub use kernel::{preload_message, SimError, SimReport, Simulation};
 pub use mailbox::MailboxId;
-#[cfg(feature = "legacy-threads")]
-pub use process::ProcessHandle;
-pub use process::{ProcessId, ProcessResult};
+pub use process::{ProcessHandle, ProcessId, ProcessResult};
 pub use stackless::{AsyncHandle, ProcCtx, Process, Resume, Yield};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};
 
-#[cfg(all(test, feature = "legacy-threads"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn empty_simulation_completes() {
@@ -485,6 +486,57 @@ mod tests {
         let _ = sim.run();
         assert_eq!(r.take(), None);
     }
+
+    /// Raises its flag when dropped. Held by a thread-backed process, it
+    /// drops only once that thread has unwound.
+    struct DropGuard(Arc<AtomicBool>);
+
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn deadlocked_thread_is_unwound_and_joined_before_run_returns() {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let guard = DropGuard(Arc::clone(&dropped));
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn("starved", move |h| {
+            let _guard = guard;
+            h.recv(mbox);
+        });
+        assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the thread parked in recv outlived run()"
+        );
+    }
+
+    #[test]
+    fn bystander_thread_is_unwound_and_joined_when_a_peer_panics() {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let guard = DropGuard(Arc::clone(&dropped));
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn("bystander", move |h| {
+            let _guard = guard;
+            h.recv(mbox);
+        });
+        sim.spawn("bad", |h| {
+            h.advance(SimDuration::from_millis(1));
+            panic!("boom");
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "bad"),
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the thread parked in recv outlived run()"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -798,10 +850,12 @@ mod stackless_tests {
         )
     }
 
-    #[cfg(feature = "legacy-threads")]
-    fn mesh_report_threaded(tie: TieBreak) -> (u64, u64, u64, u64, SimTime) {
+    fn mesh_report_threaded(tie: TieBreak, checks: bool) -> (u64, u64, u64, u64, SimTime) {
         let mut sim = Simulation::new();
         sim.set_tie_break(tie);
+        if checks {
+            sim.enable_scheduling_checks();
+        }
         let boxes: Vec<_> = (0..4).map(|_| sim.create_mailbox()).collect();
         for me in 0..4usize {
             let boxes = boxes.clone();
@@ -847,20 +901,24 @@ mod stackless_tests {
     #[test]
     fn scheduling_oracle_accepts_a_legal_run() {
         // The oracle must be silent on a workload that exercises every
-        // grant kind (start, timer, message, deadline timeout).
+        // grant kind (start, timer, message, deadline timeout), whether the
+        // ranks are async bodies or thread-backed closures.
         assert_eq!(
             mesh_report_stackless(TieBreak::Fifo, true),
             mesh_report_stackless(TieBreak::Fifo, false)
         );
+        assert_eq!(
+            mesh_report_threaded(TieBreak::Fifo, true),
+            mesh_report_stackless(TieBreak::Fifo, false)
+        );
     }
 
-    #[cfg(feature = "legacy-threads")]
     #[test]
     fn threaded_and_stackless_reports_are_bit_identical() {
         for tie in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(0xC0FFEE)] {
             assert_eq!(
                 mesh_report_stackless(tie, false),
-                mesh_report_threaded(tie),
+                mesh_report_threaded(tie, false),
                 "kernels diverged under {tie:?}"
             );
         }
@@ -918,7 +976,6 @@ mod stackless_tests {
         )
     }
 
-    #[cfg(feature = "legacy-threads")]
     fn timer_vs_deliver_threaded(tie: TieBreak) -> (Option<u8>, u64, u64) {
         let mut sim = Simulation::new();
         sim.set_tie_break(tie);
@@ -955,7 +1012,6 @@ mod stackless_tests {
                 assert_eq!(got, Some(7), "{tie:?}: delivery pops first => message");
                 assert_eq!(timers, 0, "{tie:?}: beaten timer is stale");
             }
-            #[cfg(feature = "legacy-threads")]
             assert_eq!(
                 (got, timers, delivered),
                 timer_vs_deliver_threaded(tie),

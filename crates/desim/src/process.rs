@@ -1,111 +1,161 @@
-//! Process identity, results, and the legacy threaded kernel handshake.
+//! Process identity, results, and thread-backed processes.
 //!
-//! Under the `legacy-threads` feature, a simulated process may run on its
-//! own OS thread while the kernel grants execution to exactly one process
-//! at a time, so the simulation is sequential and deterministic regardless
-//! of OS scheduling. Such a process interacts with virtual time exclusively
-//! through its [`ProcessHandle`]: every handle call sends a [`Request`] to
-//! the kernel and blocks until the kernel answers with a [`Response`].
-//! Blocking calls (`advance`, `recv`) suspend the process until the
-//! corresponding event fires.
-//!
-//! The stackless execution model (the default — see
-//! [`crate::stackless`]) shares [`ProcessId`] and [`ProcessResult`] but
-//! replaces the channel handshake with direct kernel dispatch.
+//! [`Simulation::spawn`](crate::Simulation::spawn) runs a blocking closure
+//! on its own OS thread behind a [`ProcessHandle`]. The kernel never talks
+//! to that thread itself: it drives a `ThreadProcess`, an ordinary
+//! [`Process`] whose `resume` forwards the grant to the thread and
+//! [performs](AsyncOp::perform) each handle call the thread sends back —
+//! inline, or as the blocking [`Yield`] that returns the grant. Exactly one
+//! thread holds the grant at a time, so the simulation stays sequential and
+//! deterministic regardless of OS scheduling, and a thread-backed process
+//! produces the same event stream as an `async` one issuing the same
+//! operations: both go through the one dispatch loop.
 
-#[cfg(feature = "legacy-threads")]
 use std::any::Any;
-#[cfg(feature = "legacy-threads")]
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "legacy-threads")]
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
-#[cfg(feature = "legacy-threads")]
 use crate::event::Payload;
-#[cfg(feature = "legacy-threads")]
 use crate::mailbox::MailboxId;
-#[cfg(feature = "legacy-threads")]
+use crate::stackless::{downcast_payload, AsyncOp, AsyncReply, ProcCtx, Process, Yield};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a process within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProcessId(pub usize);
 
-/// A request from a threaded process to the kernel.
-#[cfg(feature = "legacy-threads")]
-pub(crate) enum Request {
-    /// Let virtual time pass; models computation taking this long.
-    Advance(SimDuration),
-    /// Schedule a message for delivery `delay` from now. Non-blocking.
-    Send {
-        mbox: MailboxId,
-        delay: SimDuration,
-        msg: Payload,
-    },
-    /// Block until a message is available in `mbox`, then take it.
-    Recv { mbox: MailboxId },
-    /// Block until a message is available in `mbox` or `deadline` passes,
-    /// whichever comes first.
-    RecvDeadline { mbox: MailboxId, deadline: SimTime },
-    /// Take a message from `mbox` if one has been delivered. Non-blocking.
-    TryRecv { mbox: MailboxId },
-    /// Allocate a fresh mailbox.
-    CreateMailbox,
-    /// Record a trace annotation at the current virtual time.
-    Trace(String),
-    /// The process function returned normally.
-    Finish,
-    /// The process function panicked; the payload is its message.
-    Panicked(String),
+/// What a process thread sends its `ThreadProcess`.
+enum FromThread {
+    /// The next kernel operation; the thread waits for its reply.
+    Op(AsyncOp),
+    /// The closure returned normally.
+    Done,
+    /// The closure panicked with this payload.
+    Panicked(Box<dyn Any + Send>),
 }
 
-/// A kernel answer to a [`Request`].
-#[cfg(feature = "legacy-threads")]
-pub(crate) enum Response {
-    /// Execution resumes; `now` is the current virtual time.
-    Resumed { now: SimTime },
-    /// Result of `Recv`/`TryRecv`.
-    Message { now: SimTime, msg: Option<Payload> },
-    /// Result of `CreateMailbox`.
-    Mailbox { now: SimTime, id: MailboxId },
-}
+/// The kernel's answer to the thread: the current virtual time and the
+/// reply to its last operation (or to its wait for the start grant).
+type Answer = (SimTime, AsyncReply);
 
 /// Sentinel panic payload used to unwind process threads quietly when the
 /// simulation is torn down early (deadlock or another process panicking).
-#[cfg(feature = "legacy-threads")]
-pub(crate) struct SimShutdown;
+struct SimShutdown;
 
-/// The view a simulated process has of the simulation kernel.
+/// The [`Process`] that runs a [`Simulation::spawn`](crate::Simulation::spawn)
+/// closure on its own OS thread.
+pub(crate) struct ThreadProcess {
+    /// `None` once dropped: closing it unwinds a parked thread.
+    grants: Option<Sender<Answer>>,
+    ops: Receiver<FromThread>,
+    join: Option<JoinHandle<()>>,
+}
+
+impl ThreadProcess {
+    /// Start the OS thread for `f`, parked until the first grant.
+    pub(crate) fn spawn<R, F>(
+        pid: ProcessId,
+        name: &str,
+        tracing: Arc<AtomicBool>,
+        f: F,
+    ) -> (Self, ProcessResult<R>)
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ProcessHandle) -> R + Send + 'static,
+    {
+        let (grant_tx, grant_rx) = channel();
+        let (op_tx, op_rx) = channel();
+        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
+        let slot_for_thread = Arc::clone(&slot);
+        let join = std::thread::Builder::new()
+            .name(format!("desim-{}-{name}", pid.0))
+            .spawn(move || {
+                let mut handle = ProcessHandle {
+                    pid,
+                    ops: op_tx,
+                    grants: grant_rx,
+                    now: SimTime::ZERO,
+                    tracing,
+                };
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    handle.wait();
+                    f(&mut handle)
+                }));
+                let end = match outcome {
+                    Ok(r) => {
+                        *slot_for_thread.lock().expect("result mutex poisoned") = Some(r);
+                        FromThread::Done
+                    }
+                    // The kernel tore the simulation down; exit quietly.
+                    Err(payload) if payload.is::<SimShutdown>() => return,
+                    Err(payload) => FromThread::Panicked(payload),
+                };
+                let _ = handle.ops.send(end);
+            })
+            .expect("failed to spawn simulated process thread");
+        let body = ThreadProcess {
+            grants: Some(grant_tx),
+            ops: op_rx,
+            join: Some(join),
+        };
+        (body, ProcessResult { slot, pid })
+    }
+}
+
+impl Process for ThreadProcess {
+    fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Yield {
+        let mut reply = AsyncReply::from(ctx.take_resume());
+        loop {
+            let grants = self.grants.as_ref().expect("grant channel open until drop");
+            if grants.send((ctx.now(), reply)).is_err() {
+                panic!("process thread exited outside the protocol");
+            }
+            match self.ops.recv() {
+                Ok(FromThread::Op(op)) => match op.perform(ctx) {
+                    Ok(r) => reply = r,
+                    Err(blocking) => return blocking,
+                },
+                Ok(FromThread::Done) => return Yield::Done,
+                // Re-raised on the kernel thread, where the dispatch loop's
+                // `catch_unwind` reports it like any other process panic.
+                Ok(FromThread::Panicked(payload)) => resume_unwind(payload),
+                Err(_) => panic!("process thread exited outside the protocol"),
+            }
+        }
+    }
+}
+
+impl Drop for ThreadProcess {
+    fn drop(&mut self) {
+        // A thread still parked in a handle call sees the closed channel
+        // and unwinds via `SimShutdown`, dropping its locals; joining makes
+        // that finish before the kernel moves on.
+        self.grants = None;
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
+/// The view a thread-backed simulated process has of the simulation
+/// kernel.
 ///
 /// Obtained as the argument of the closure passed to
-/// [`Simulation::spawn`](crate::Simulation::spawn).
-#[cfg(feature = "legacy-threads")]
+/// [`Simulation::spawn`](crate::Simulation::spawn). Every call blocks the
+/// process's thread until the kernel answers; `advance` and the receives
+/// suspend it until the matching event fires.
 pub struct ProcessHandle {
     pid: ProcessId,
-    req_tx: Sender<(ProcessId, Request)>,
-    resp_rx: Receiver<Response>,
+    ops: Sender<FromThread>,
+    grants: Receiver<Answer>,
     now: SimTime,
     tracing: Arc<AtomicBool>,
 }
 
-#[cfg(feature = "legacy-threads")]
 impl ProcessHandle {
-    pub(crate) fn new(
-        pid: ProcessId,
-        req_tx: Sender<(ProcessId, Request)>,
-        resp_rx: Receiver<Response>,
-        tracing: Arc<AtomicBool>,
-    ) -> Self {
-        ProcessHandle {
-            pid,
-            req_tx,
-            resp_rx,
-            now: SimTime::ZERO,
-            tracing,
-        }
-    }
-
     /// This process's id.
     pub fn pid(&self) -> ProcessId {
         self.pid
@@ -116,64 +166,48 @@ impl ProcessHandle {
         self.now
     }
 
-    /// Block this process's initial start until the kernel grants time zero.
-    pub(crate) fn wait_for_start(&mut self) {
-        match self.wait() {
-            Response::Resumed { now } => self.now = now,
-            _ => unreachable!("kernel start grant is always Resumed"),
-        }
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        if self.req_tx.send((self.pid, req)).is_err() {
+    fn call(&mut self, op: AsyncOp) -> AsyncReply {
+        if self.ops.send(FromThread::Op(op)).is_err() {
             // Kernel is gone: unwind quietly.
             std::panic::panic_any(SimShutdown);
         }
         self.wait()
     }
 
-    fn wait(&mut self) -> Response {
-        match self.resp_rx.recv() {
-            Ok(r) => r,
+    /// Block until the kernel grants this process time again.
+    fn wait(&mut self) -> AsyncReply {
+        match self.grants.recv() {
+            Ok((now, reply)) => {
+                self.now = now;
+                reply
+            }
             Err(_) => std::panic::panic_any(SimShutdown),
         }
     }
 
     /// Spend `d` of virtual time computing. Returns the new current time.
     pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        match self.call(Request::Advance(d)) {
-            Response::Resumed { now } => {
-                self.now = now;
-                now
-            }
-            _ => unreachable!("Advance answered with non-Resumed"),
-        }
+        self.call(AsyncOp::Advance(d));
+        self.now
     }
 
     /// Schedule `msg` for delivery into `mbox` after `delay`. Non-blocking:
     /// virtual time does not pass for the sender (model any send-side CPU
     /// cost with [`advance`](Self::advance)).
     pub fn send<T: Any + Send>(&mut self, mbox: MailboxId, delay: SimDuration, msg: T) {
-        match self.call(Request::Send {
+        self.call(AsyncOp::Send {
             mbox,
             delay,
             msg: Box::new(msg),
-        }) {
-            Response::Resumed { now } => self.now = now,
-            _ => unreachable!("Send answered with non-Resumed"),
-        }
+        });
     }
 
     /// Block until a message is available in `mbox` and take it. Virtual
     /// time advances to the delivery instant of the message received.
     pub fn recv(&mut self, mbox: MailboxId) -> Payload {
-        match self.call(Request::Recv { mbox }) {
-            Response::Message { now, msg } => {
-                self.now = now;
-                msg.expect("blocking recv resolved without a message")
-            }
-            _ => unreachable!("Recv answered with non-Message"),
-        }
+        self.call(AsyncOp::Recv { mbox })
+            .into_message()
+            .expect("blocking recv resolved without a message")
     }
 
     /// Block until a message is available in `mbox` or `deadline` passes.
@@ -185,13 +219,8 @@ impl ProcessHandle {
     /// without blocking; a deadline at or before the current time degrades
     /// to [`try_recv`](Self::try_recv) (one immediate poll, no waiting).
     pub fn recv_deadline(&mut self, mbox: MailboxId, deadline: SimTime) -> Option<Payload> {
-        match self.call(Request::RecvDeadline { mbox, deadline }) {
-            Response::Message { now, msg } => {
-                self.now = now;
-                msg
-            }
-            _ => unreachable!("RecvDeadline answered with non-Message"),
-        }
+        self.call(AsyncOp::RecvDeadline { mbox, deadline })
+            .into_message()
     }
 
     /// Timed receive with a type downcast.
@@ -200,50 +229,31 @@ impl ProcessHandle {
         mbox: MailboxId,
         deadline: SimTime,
     ) -> Option<T> {
-        self.recv_deadline(mbox, deadline).map(|p| {
-            *p.downcast::<T>()
-                .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
-        })
+        let p = self.recv_deadline(mbox, deadline)?;
+        Some(downcast_payload(p, mbox))
     }
 
     /// Take a message from `mbox` if one has already been delivered.
     /// Never blocks and never advances virtual time.
     pub fn try_recv(&mut self, mbox: MailboxId) -> Option<Payload> {
-        match self.call(Request::TryRecv { mbox }) {
-            Response::Message { now, msg } => {
-                self.now = now;
-                msg
-            }
-            _ => unreachable!("TryRecv answered with non-Message"),
-        }
+        self.call(AsyncOp::TryRecv { mbox }).into_message()
     }
 
     /// Blocking receive with a type downcast; panics if the payload is not a
     /// `T` (which indicates a protocol bug in the caller).
     pub fn recv_as<T: Any + Send>(&mut self, mbox: MailboxId) -> T {
-        *self
-            .recv(mbox)
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
+        downcast_payload(self.recv(mbox), mbox)
     }
 
     /// Non-blocking receive with a type downcast.
     pub fn try_recv_as<T: Any + Send>(&mut self, mbox: MailboxId) -> Option<T> {
-        self.try_recv(mbox).map(|p| {
-            *p.downcast::<T>()
-                .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
-        })
+        let p = self.try_recv(mbox)?;
+        Some(downcast_payload(p, mbox))
     }
 
     /// Allocate a fresh mailbox owned by no one in particular.
     pub fn create_mailbox(&mut self) -> MailboxId {
-        match self.call(Request::CreateMailbox) {
-            Response::Mailbox { now, id } => {
-                self.now = now;
-                id
-            }
-            _ => unreachable!("CreateMailbox answered with non-Mailbox"),
-        }
+        self.call(AsyncOp::CreateMailbox).into_mailbox()
     }
 
     /// Record a trace annotation at the current virtual time. A no-op unless
@@ -263,10 +273,7 @@ impl ProcessHandle {
         if !self.tracing.load(Ordering::Relaxed) {
             return;
         }
-        match self.call(Request::Trace(label())) {
-            Response::Resumed { now } => self.now = now,
-            _ => unreachable!("Trace answered with non-Resumed"),
-        }
+        self.call(AsyncOp::Trace(label()));
     }
 }
 

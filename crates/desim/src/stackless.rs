@@ -1,36 +1,35 @@
-//! Stackless simulated processes: resumable state machines scheduled
-//! entirely by the event kernel.
+//! Simulated processes as resumable state machines scheduled entirely by
+//! the event kernel.
 //!
-//! The original execution model (kept behind the `legacy-threads` feature)
-//! parks one OS thread per simulated process and shuttles
-//! `Request`/`Response` pairs over channels. That caps simulations at a few
-//! dozen ranks — each rank costs a full thread stack plus two context
-//! switches per event. This module replaces the thread with a [`Process`]:
-//! a state machine whose [`resume`](Process::resume) runs on the *kernel's*
-//! thread until the process needs virtual time to pass, at which point it
-//! returns a [`Yield`] describing what it is waiting for. The kernel owns
-//! every process state, so 10k–1M ranks are just a `Vec` of boxed state
-//! machines and one event heap.
+//! Every process the kernel runs is a [`Process`]: a state machine whose
+//! [`resume`](Process::resume) runs on the *kernel's* thread until the
+//! process needs virtual time to pass, at which point it returns a
+//! [`Yield`] describing what it is waiting for. The kernel owns every
+//! process state, so 10k–1M ranks are just a `Vec` of boxed state machines
+//! and one event heap.
 //!
-//! Two ways to write a process:
+//! Three ways to write a process:
 //!
 //! * implement [`Process`] by hand — an explicit `enum`-state machine with
-//!   full control over every suspension point; or
+//!   full control over every suspension point;
 //! * write an `async fn` and pass it to
 //!   [`Simulation::spawn_async`](crate::Simulation::spawn_async): the
 //!   compiler generates the state machine, and an [`AsyncHandle`] maps each
-//!   `await` onto the same [`Yield`] protocol. This is how the `speccore`
-//!   driver runs unchanged on both kernels.
+//!   `await` onto the [`Yield`] protocol; or
+//! * pass a blocking closure to
+//!   [`Simulation::spawn`](crate::Simulation::spawn): the closure runs on
+//!   its own OS thread behind a [`ProcessHandle`](crate::ProcessHandle),
+//!   and a thread-backed `Process` relays each handle call to the kernel.
 //!
-//! The protocol is deliberately bit-identical to the threaded handshake:
+//! The last two share one operation vocabulary (`AsyncOp`/`AsyncReply`)
+//! and one step that performs an operation against the [`ProcCtx`]:
 //! non-blocking operations ([`ProcCtx::send`], [`ProcCtx::try_recv`],
 //! [`ProcCtx::create_mailbox`], [`ProcCtx::trace`]) execute inline without
-//! returning to the event loop, exactly as the threaded kernel answered
-//! them without yielding the time grant; only `Timer`, an empty-mailbox
+//! returning to the event loop; only `Timer`, an empty-mailbox
 //! `Recv`/`RecvDeadline`, and `Done` give the grant back. Event sequence
 //! numbers — and therefore Fifo/Lifo/Seeded tie-breaks, `SimReport`
-//! counters and every fingerprint downstream — match the threaded kernel
-//! exactly.
+//! counters and every fingerprint downstream — depend only on the
+//! sequence of operations a process issues, never on how it is written.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -116,9 +115,8 @@ pub trait Process {
 
 /// The kernel-side view a [`Process`] has while it holds the time grant.
 ///
-/// Everything here executes inline, without returning to the event loop —
-/// mirroring the threaded kernel, which answered non-blocking requests
-/// without moving virtual time or yielding the grant.
+/// Everything here executes inline, without returning to the event loop,
+/// moving virtual time, or giving the grant back.
 pub struct ProcCtx<'k> {
     pub(crate) pid: ProcessId,
     pub(crate) now: SimTime,
@@ -198,11 +196,12 @@ impl ProcCtx<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// async bridge: `async fn` processes over the same Yield protocol
+// The operation vocabulary shared by async and thread-backed processes
 // ---------------------------------------------------------------------------
 
-/// The kernel operation an async process is suspended on, parked in the
-/// [`Bridge`] until [`FutureProcess::resume`] picks it up.
+/// A kernel operation issued through an [`AsyncHandle`] or a
+/// [`ProcessHandle`](crate::ProcessHandle), waiting to be performed by the
+/// process adapter that holds the time grant.
 pub(crate) enum AsyncOp {
     Advance(SimDuration),
     Send {
@@ -224,12 +223,76 @@ pub(crate) enum AsyncOp {
     Trace(String),
 }
 
-/// The answer travelling back through the [`Bridge`].
+impl AsyncOp {
+    /// Perform this operation for the process holding the grant: a
+    /// non-blocking one executes inline against `ctx` and yields its reply;
+    /// a blocking one comes back as the [`Yield`] that hands the grant to
+    /// the kernel.
+    pub(crate) fn perform(self, ctx: &mut ProcCtx<'_>) -> Result<AsyncReply, Yield> {
+        match self {
+            AsyncOp::Advance(d) => Err(Yield::Timer(d)),
+            AsyncOp::Recv { mbox } => Err(Yield::Recv { mbox }),
+            AsyncOp::RecvDeadline { mbox, deadline } => Err(Yield::RecvDeadline { mbox, deadline }),
+            AsyncOp::Send { mbox, delay, msg } => {
+                ctx.send_payload(mbox, delay, msg);
+                Ok(AsyncReply::Resumed)
+            }
+            AsyncOp::TryRecv { mbox } => Ok(AsyncReply::Message(ctx.try_recv(mbox))),
+            AsyncOp::CreateMailbox => Ok(AsyncReply::Mailbox(ctx.create_mailbox())),
+            AsyncOp::Trace(label) => {
+                ctx.trace(label);
+                Ok(AsyncReply::Resumed)
+            }
+        }
+    }
+}
+
+/// The answer to an [`AsyncOp`].
 pub(crate) enum AsyncReply {
     Resumed,
     Message(Option<Payload>),
     Mailbox(MailboxId),
 }
+
+impl AsyncReply {
+    /// The answer to a receive: the payload, or `None` on deadline.
+    pub(crate) fn into_message(self) -> Option<Payload> {
+        match self {
+            AsyncReply::Message(msg) => msg,
+            _ => unreachable!("receive answered with a non-message reply"),
+        }
+    }
+
+    /// The answer to `CreateMailbox`.
+    pub(crate) fn into_mailbox(self) -> MailboxId {
+        match self {
+            AsyncReply::Mailbox(id) => id,
+            _ => unreachable!("CreateMailbox answered with a non-mailbox reply"),
+        }
+    }
+}
+
+impl From<Resume> for AsyncReply {
+    /// A kernel grant as the reply to the blocking operation it answers
+    /// (the start grant answers the wait for the first grant).
+    fn from(resume: Resume) -> Self {
+        match resume {
+            Resume::Start | Resume::Resumed => AsyncReply::Resumed,
+            Resume::Message(msg) => AsyncReply::Message(msg),
+        }
+    }
+}
+
+/// Unbox a received payload as a `T`; a mismatch is a protocol bug in the
+/// caller.
+pub(crate) fn downcast_payload<T: Any>(p: Payload, mbox: MailboxId) -> T {
+    *p.downcast::<T>()
+        .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
+}
+
+// ---------------------------------------------------------------------------
+// async bridge: `async fn` processes over the same Yield protocol
+// ---------------------------------------------------------------------------
 
 /// One-slot op/reply cell shared between an [`AsyncHandle`] (inside the
 /// future) and the [`FutureProcess`] driving it. At most one operation is in
@@ -301,57 +364,43 @@ impl AsyncHandle {
 
     /// Spend `d` of virtual time computing. Returns the new current time.
     pub async fn advance(&self, d: SimDuration) -> SimTime {
-        match self.op(AsyncOp::Advance(d)).await {
-            AsyncReply::Resumed => self.now(),
-            _ => unreachable!("Advance answered with non-Resumed"),
-        }
+        self.op(AsyncOp::Advance(d)).await;
+        self.now()
     }
 
     /// Schedule `msg` for delivery into `mbox` after `delay`. Non-blocking:
     /// virtual time does not pass for the sender.
     pub async fn send<T: Any + Send>(&self, mbox: MailboxId, delay: SimDuration, msg: T) {
-        match self
-            .op(AsyncOp::Send {
-                mbox,
-                delay,
-                msg: Box::new(msg),
-            })
-            .await
-        {
-            AsyncReply::Resumed => {}
-            _ => unreachable!("Send answered with non-Resumed"),
-        }
+        self.op(AsyncOp::Send {
+            mbox,
+            delay,
+            msg: Box::new(msg),
+        })
+        .await;
     }
 
     /// Block until a message is available in `mbox` and take it. Virtual
     /// time advances to the delivery instant of the message received.
     pub async fn recv(&self, mbox: MailboxId) -> Payload {
-        match self.op(AsyncOp::Recv { mbox }).await {
-            AsyncReply::Message(msg) => msg.expect("blocking recv resolved without a message"),
-            _ => unreachable!("Recv answered with non-Message"),
-        }
+        self.op(AsyncOp::Recv { mbox })
+            .await
+            .into_message()
+            .expect("blocking recv resolved without a message")
     }
 
     /// Blocking receive with a type downcast; panics if the payload is not
     /// a `T` (which indicates a protocol bug in the caller).
     pub async fn recv_as<T: Any + Send>(&self, mbox: MailboxId) -> T {
-        *self
-            .recv(mbox)
-            .await
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
+        downcast_payload(self.recv(mbox).await, mbox)
     }
 
     /// Block until a message is available in `mbox` or `deadline` passes.
-    /// Same event-driven semantics as the threaded
-    /// `ProcessHandle::recv_deadline`: wakes at the exact arrival or
-    /// deadline instant; a deadline at or before the current time degrades
-    /// to [`try_recv`](Self::try_recv).
+    /// Wakes at the exact arrival or deadline instant; a deadline at or
+    /// before the current time degrades to [`try_recv`](Self::try_recv).
     pub async fn recv_deadline(&self, mbox: MailboxId, deadline: SimTime) -> Option<Payload> {
-        match self.op(AsyncOp::RecvDeadline { mbox, deadline }).await {
-            AsyncReply::Message(msg) => msg,
-            _ => unreachable!("RecvDeadline answered with non-Message"),
-        }
+        self.op(AsyncOp::RecvDeadline { mbox, deadline })
+            .await
+            .into_message()
     }
 
     /// Timed receive with a type downcast.
@@ -360,35 +409,25 @@ impl AsyncHandle {
         mbox: MailboxId,
         deadline: SimTime,
     ) -> Option<T> {
-        self.recv_deadline(mbox, deadline).await.map(|p| {
-            *p.downcast::<T>()
-                .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
-        })
+        let p = self.recv_deadline(mbox, deadline).await?;
+        Some(downcast_payload(p, mbox))
     }
 
     /// Take a message from `mbox` if one has already been delivered.
     /// Never blocks and never advances virtual time.
     pub async fn try_recv(&self, mbox: MailboxId) -> Option<Payload> {
-        match self.op(AsyncOp::TryRecv { mbox }).await {
-            AsyncReply::Message(msg) => msg,
-            _ => unreachable!("TryRecv answered with non-Message"),
-        }
+        self.op(AsyncOp::TryRecv { mbox }).await.into_message()
     }
 
     /// Non-blocking receive with a type downcast.
     pub async fn try_recv_as<T: Any + Send>(&self, mbox: MailboxId) -> Option<T> {
-        self.try_recv(mbox).await.map(|p| {
-            *p.downcast::<T>()
-                .unwrap_or_else(|_| panic!("message in {mbox:?} had unexpected type"))
-        })
+        let p = self.try_recv(mbox).await?;
+        Some(downcast_payload(p, mbox))
     }
 
     /// Allocate a fresh mailbox owned by no one in particular.
     pub async fn create_mailbox(&self) -> MailboxId {
-        match self.op(AsyncOp::CreateMailbox).await {
-            AsyncReply::Mailbox(id) => id,
-            _ => unreachable!("CreateMailbox answered with non-Mailbox"),
-        }
+        self.op(AsyncOp::CreateMailbox).await.into_mailbox()
     }
 
     /// Record a trace annotation at the current virtual time. A no-op unless
@@ -405,10 +444,7 @@ impl AsyncHandle {
         if !self.tracing.load(Ordering::Relaxed) {
             return;
         }
-        match self.op(AsyncOp::Trace(label())).await {
-            AsyncReply::Resumed => {}
-            _ => unreachable!("Trace answered with non-Resumed"),
-        }
+        self.op(AsyncOp::Trace(label())).await;
     }
 }
 
@@ -441,8 +477,8 @@ impl Future for OpFuture {
 }
 
 /// [`Process`] adapter that drives an `async` body: polls the future with a
-/// no-op waker, translates each parked [`AsyncOp`] into either an inline
-/// [`ProcCtx`] operation (answered within the same resume) or a blocking
+/// no-op waker and [performs](AsyncOp::perform) each parked [`AsyncOp`],
+/// either inline (answered within the same resume) or as a blocking
 /// [`Yield`] handed back to the kernel.
 pub(crate) struct FutureProcess {
     fut: Pin<Box<dyn Future<Output = ()>>>,
@@ -461,50 +497,25 @@ impl Process for FutureProcess {
             let mut b = self.bridge.borrow_mut();
             b.now = ctx.now();
             match ctx.take_resume() {
+                // The body has not run yet: nothing awaits a reply.
                 Resume::Start => {}
-                Resume::Resumed => b.reply = Some(AsyncReply::Resumed),
-                Resume::Message(m) => b.reply = Some(AsyncReply::Message(m)),
+                resume => b.reply = Some(resume.into()),
             }
         }
         loop {
             let mut cx = Context::from_waker(Waker::noop());
-            match self.fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => return Yield::Done,
-                Poll::Pending => {
-                    let op = self.bridge.borrow_mut().op.take().unwrap_or_else(|| {
-                        panic!(
-                            "async process suspended on a foreign future: only AsyncHandle \
-                             operations can be awaited inside a simulated process"
-                        )
-                    });
-                    match op {
-                        // Blocking operations: hand the grant back.
-                        AsyncOp::Advance(d) => return Yield::Timer(d),
-                        AsyncOp::Recv { mbox } => return Yield::Recv { mbox },
-                        AsyncOp::RecvDeadline { mbox, deadline } => {
-                            return Yield::RecvDeadline { mbox, deadline }
-                        }
-                        // Non-blocking operations: answer inline and poll on,
-                        // exactly as the threaded kernel serviced them without
-                        // yielding the time grant.
-                        AsyncOp::Send { mbox, delay, msg } => {
-                            ctx.send_payload(mbox, delay, msg);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Resumed);
-                        }
-                        AsyncOp::TryRecv { mbox } => {
-                            let m = ctx.try_recv(mbox);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Message(m));
-                        }
-                        AsyncOp::CreateMailbox => {
-                            let id = ctx.create_mailbox();
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Mailbox(id));
-                        }
-                        AsyncOp::Trace(label) => {
-                            ctx.trace(label);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Resumed);
-                        }
-                    }
-                }
+            if self.fut.as_mut().poll(&mut cx).is_ready() {
+                return Yield::Done;
+            }
+            let op = self.bridge.borrow_mut().op.take().unwrap_or_else(|| {
+                panic!(
+                    "async process suspended on a foreign future: only AsyncHandle \
+                     operations can be awaited inside a simulated process"
+                )
+            });
+            match op.perform(ctx) {
+                Ok(reply) => self.bridge.borrow_mut().reply = Some(reply),
+                Err(blocking) => return blocking,
             }
         }
     }

@@ -19,8 +19,9 @@ use crate::types::WireSize;
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x` with the
 /// whole encoding consumed. Containers of zero-sized elements (e.g.
-/// `Vec<()>`) are not wire-representable — their length cannot be
-/// validated against the buffer — and decode as empty.
+/// `Vec<()>`) are not wire-representable: `()` encodes to zero bytes, so
+/// their length prefix cannot be validated against the buffer, and decode
+/// rejects any such length larger than the bytes that follow it.
 pub trait WireCodec: Sized {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -111,7 +112,12 @@ impl<T: WireCodec> WireCodec for Vec<T> {
         if len > buf.len() {
             return None;
         }
-        let mut v = Vec::with_capacity(len);
+        // An element may be larger in memory than on the wire (a
+        // `(u32, f64)` is 12 bytes there and 16 here), so reserve no more
+        // than the bytes left could hold: a hostile length then cannot
+        // make the reservation outgrow the frame. A valid vector still
+        // decodes whole; it just grows past the reservation.
+        let mut v = Vec::with_capacity(len.min(buf.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             v.push(T::decode(buf)?);
         }

@@ -9,7 +9,9 @@
 //!
 //! * [`run_sim_cluster`] / [`SimTransport`] — ranks are processes of the
 //!   [`desim`] virtual-time kernel on a [`netsim`] cluster: deterministic,
-//!   seedable, instantaneous. All quantitative experiments use this.
+//!   seedable, instantaneous. All quantitative experiments use this. Its
+//!   async twin, [`run_sim_proc_cluster`] / [`SimIo`], runs each rank as a
+//!   state machine instead of a thread, over the same wire model.
 //! * [`run_thread_cluster`] / [`ThreadTransport`] — ranks are real OS
 //!   threads exchanging messages through in-process mailboxes with
 //!   optionally injected latency: the live "channel-based port".

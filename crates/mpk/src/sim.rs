@@ -1,13 +1,25 @@
 //! Virtual-time transport backend: ranks are `desim` processes on a
 //! `netsim` cluster. This is the backend all paper experiments run on —
 //! deterministic, seedable, and fast (no real waiting).
+//!
+//! Two front-ends share one model of the simulated wire. [`SimTransport`]
+//! is the blocking [`Transport`] of a thread-backed rank
+//! ([`run_sim_cluster`]); [`SimIo`] is the
+//! [`AsyncTransport`](crate::AsyncTransport) of an `async` rank
+//! ([`run_sim_proc_cluster`]). Every modelled effect — fate before network,
+//! crash-window drops, fault counters, corruption, duplicate copies, load
+//! scaling, telemetry marks — lives once, in a private per-rank core that
+//! makes no kernel call; each front-end only issues the handle calls that
+//! core asks for, blocking or `.await`ing. Both kinds of rank run through
+//! the same `desim` dispatch loop, so the two backends produce the same
+//! schedule by construction.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use desim::{
-    AsyncHandle, MailboxId, ProcessHandle, SimDuration, SimError, SimReport, SimTime, Simulation,
-    TieBreak,
+    AsyncHandle, MailboxId, ProcessHandle, ProcessResult, SimDuration, SimError, SimReport,
+    SimTime, Simulation, TieBreak,
 };
 use netsim::{
     ClusterSpec, CrashPlan, FaultModel, LoadModel, MachineSpec, MsgCtx, NetworkModel, NoFaults,
@@ -81,17 +93,167 @@ struct SharedNet<M> {
     corrupt_salt: u64,
 }
 
-/// A rank's endpoint on a simulated cluster.
-///
-/// Created by [`run_sim_cluster`]; lives only inside the per-rank closure.
-pub struct SimTransport<'a, 'h, M> {
-    h: &'a mut ProcessHandle,
+/// One rank's end of the simulated wire: the fault, network, load and
+/// telemetry models, shared by both front-ends. It makes no kernel call:
+/// each method says what the front-end must send or wait for, or records
+/// what the front-end saw.
+struct Wire<M> {
     rank: Rank,
     size: usize,
     machine: MachineSpec,
-    mailboxes: Vec<MailboxId>,
+    mailboxes: Arc<Vec<MailboxId>>,
     shared: Arc<Mutex<SharedNet<M>>>,
     rec: Option<Box<dyn Recorder>>,
+}
+
+impl<M: WireSize + Clone> Wire<M> {
+    /// This rank's own mailbox.
+    fn inbox(&self) -> MailboxId {
+        self.mailboxes[self.rank.0]
+    }
+
+    /// Route one send at virtual time `now` through the fault layer and
+    /// the network. Returns the kernel sends to issue, in order: a dropped
+    /// message yields none.
+    fn send(&mut self, to: Rank, tag: Tag, msg: M, now: SimTime) -> Deliveries<'_, M> {
+        assert!(to.0 < self.size, "send to out-of-range rank {to}");
+        assert_ne!(to, self.rank, "self-sends are not modelled");
+        let bytes = msg.wire_size() + HEADER_BYTES;
+        let ctx = MsgCtx {
+            src: self.rank.0,
+            dst: to.0,
+            bytes,
+            now,
+        };
+        let mut msg = msg;
+        let mut sh = self.shared.lock();
+        // Fate first, then the network: a dropped message never touches
+        // the medium, so fault-free runs see the identical delay stream.
+        let fate = sh.faults.model.fate(&ctx);
+        let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, now);
+        let delay = if fate.deliver && !down {
+            let counters = &mut sh.counters[self.rank.0];
+            counters.delivered += 1;
+            counters.duplicated += u64::from(fate.extra_copies);
+            let delay = sh.net.delay(&ctx);
+            if fate.corrupt_amp > 0.0 {
+                sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
+                let salt = sh.corrupt_salt;
+                if let Some(c) = sh.faults.corruptor.as_mut() {
+                    c(&mut msg, fate.corrupt_amp, salt);
+                }
+            }
+            Some(delay)
+        } else {
+            sh.counters[self.rank.0].dropped += 1;
+            None
+        };
+        drop(sh);
+        let delivered = delay.is_some();
+        if let Some(r) = self.rec.as_deref_mut() {
+            let (rank, t_ns) = (self.rank.0 as u32, now.as_nanos());
+            let (to, bytes) = (to.0 as u32, bytes as u64);
+            r.mark(rank, t_ns, Mark::MsgSent { to, bytes });
+            if !delivered {
+                r.mark(rank, t_ns, Mark::MessageDropped { to, bytes });
+            } else if fate.extra_copies > 0 {
+                let copies = fate.extra_copies;
+                r.mark(rank, t_ns, Mark::MessageDuplicated { to, copies });
+            }
+        }
+        Deliveries {
+            shared: &self.shared,
+            ctx,
+            mbox: self.mailboxes[to.0],
+            copies: if delivered { fate.extra_copies } else { 0 },
+            original: delay.map(|d| {
+                let src = self.rank;
+                (d, Envelope { src, tag, msg })
+            }),
+        }
+    }
+
+    /// Record a message taken from the inbox at `now`.
+    fn received(&mut self, env: &Envelope<M>, now: SimTime) {
+        if let Some(r) = self.rec.as_deref_mut() {
+            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
+            let from = env.src.0 as u32;
+            r.mark(
+                self.rank.0 as u32,
+                now.as_nanos(),
+                Mark::MsgRecv { from, bytes },
+            );
+        }
+    }
+
+    /// Record how a timed receive armed at `armed_at` ended at `now`: with
+    /// a message, or with its deadline timer.
+    fn woke(&mut self, env: Option<&Envelope<M>>, armed_at: SimTime, now: SimTime) {
+        if let Some(r) = self.rec.as_deref_mut() {
+            let waited_ns = (now - armed_at).as_nanos();
+            let mark = match env {
+                Some(env) => Mark::RecvWakeup {
+                    from: env.src.0 as u32,
+                    waited_ns,
+                },
+                None => Mark::TimerFired { waited_ns },
+            };
+            r.mark(self.rank.0 as u32, now.as_nanos(), mark);
+        }
+        if let Some(env) = env {
+            self.received(env, now);
+        }
+    }
+
+    /// Virtual time `ops` operations take on this machine at `now`, scaled
+    /// by the background-load model; `None` for no work.
+    fn compute_time(&self, ops: u64, now: SimTime) -> Option<SimDuration> {
+        if ops == 0 {
+            return None;
+        }
+        let factor = self.shared.lock().load.factor(self.rank.0, now);
+        Some(self.machine.ops_duration(ops).mul_f64(factor))
+    }
+
+    fn fault_counters(&self) -> FaultCounters {
+        self.shared.lock().counters[self.rank.0]
+    }
+}
+
+/// The kernel sends one routed message turns into: each duplicate copy,
+/// then the original.
+struct Deliveries<'w, M> {
+    shared: &'w Mutex<SharedNet<M>>,
+    ctx: MsgCtx,
+    mbox: MailboxId,
+    copies: u32,
+    original: Option<(SimDuration, Envelope<M>)>,
+}
+
+impl<M: Clone> Iterator for Deliveries<'_, M> {
+    type Item = (MailboxId, SimDuration, Envelope<M>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.copies == 0 {
+            let (delay, env) = self.original.take()?;
+            return Some((self.mbox, delay, env));
+        }
+        self.copies -= 1;
+        let copy = self.original.as_ref()?.1.clone();
+        // Each extra copy re-consults the network: duplicates occupy the
+        // medium like any other message.
+        let delay = self.shared.lock().net.delay(&self.ctx);
+        Some((self.mbox, delay, copy))
+    }
+}
+
+/// A rank's endpoint on a simulated cluster.
+///
+/// Created by [`run_sim_cluster`]; lives only inside the per-rank closure,
+/// whose blocking calls suspend the rank's thread-backed `desim` process.
+pub struct SimTransport<'a, 'h, M> {
+    h: &'a mut ProcessHandle,
+    wire: Wire<M>,
     _lifetime: PhantomData<&'h ()>,
 }
 
@@ -109,7 +271,7 @@ impl<M: Send + 'static> SimTransport<'_, '_, M> {
 
     /// The capacity of the machine this rank runs on.
     pub fn machine(&self) -> MachineSpec {
-        self.machine
+        self.wire.machine
     }
 
     /// Attach a structured telemetry sink for this rank. Typically an
@@ -118,7 +280,7 @@ impl<M: Send + 'static> SimTransport<'_, '_, M> {
     /// the transport itself; spans and counters come from the algorithm
     /// via [`Transport::recorder`].
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
+        self.wire.rec = Some(rec);
     }
 }
 
@@ -126,157 +288,35 @@ impl<M: WireSize + Clone + Send + 'static> Transport for SimTransport<'_, '_, M>
     type Msg = M;
 
     fn rank(&self) -> Rank {
-        self.rank
+        self.wire.rank
     }
 
     fn size(&self) -> usize {
-        self.size
+        self.wire.size
     }
 
     fn send(&mut self, to: Rank, tag: Tag, msg: M) {
-        assert!(to.0 < self.size, "send to out-of-range rank {to}");
-        assert_ne!(to, self.rank, "self-sends are not modelled");
-        let bytes = msg.wire_size() + HEADER_BYTES;
-        let ctx = MsgCtx {
-            src: self.rank.0,
-            dst: to.0,
-            bytes,
-            now: self.h.now(),
-        };
-        // Fate first, then the network: a dropped message never touches
-        // the medium, so fault-free runs see the identical delay stream.
-        let (fate, delay) = {
-            let mut sh = self.shared.lock();
-            let fate = sh.faults.model.fate(&ctx);
-            let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, ctx.now);
-            if !fate.deliver || down {
-                sh.counters[self.rank.0].dropped += 1;
-                drop(sh);
-                if let Some(r) = self.rec.as_deref_mut() {
-                    let t_ns = self.h.now().as_nanos();
-                    let rank = self.rank.0 as u32;
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MsgSent {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MessageDropped {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                }
-                return;
-            }
-            sh.counters[self.rank.0].delivered += 1;
-            if fate.extra_copies > 0 {
-                sh.counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            (fate, sh.net.delay(&ctx))
-        };
-        let mut msg = msg;
-        if fate.corrupt_amp > 0.0 {
-            let mut sh = self.shared.lock();
-            sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
-            let salt = sh.corrupt_salt;
-            if let Some(c) = sh.faults.corruptor.as_mut() {
-                c(&mut msg, fate.corrupt_amp, salt);
-            }
+        for (mbox, delay, env) in self.wire.send(to, tag, msg, self.h.now()) {
+            self.h.send(mbox, delay, env);
         }
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.h.now().as_nanos();
-            let rank = self.rank.0 as u32;
-            r.mark(
-                rank,
-                t_ns,
-                Mark::MsgSent {
-                    to: to.0 as u32,
-                    bytes: bytes as u64,
-                },
-            );
-            if fate.extra_copies > 0 {
-                r.mark(
-                    rank,
-                    t_ns,
-                    Mark::MessageDuplicated {
-                        to: to.0 as u32,
-                        copies: fate.extra_copies,
-                    },
-                );
-            }
-        }
-        // Each extra copy re-consults the network: duplicates occupy the
-        // medium like any other message.
-        for _ in 0..fate.extra_copies {
-            let d = self.shared.lock().net.delay(&ctx);
-            self.h.send(
-                self.mailboxes[to.0],
-                d,
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.h.send(
-            self.mailboxes[to.0],
-            delay,
-            Envelope {
-                src: self.rank,
-                tag,
-                msg,
-            },
-        );
     }
 
     fn try_recv(&mut self) -> Option<Envelope<M>> {
-        let env = self
-            .h
-            .try_recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])?;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        let env = self.h.try_recv_as::<Envelope<M>>(self.wire.inbox())?;
+        self.wire.received(&env, self.h.now());
         Some(env)
     }
 
     fn recv(&mut self) -> Envelope<M> {
-        let env = self.h.recv_as::<Envelope<M>>(self.mailboxes[self.rank.0]);
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        let env = self.h.recv_as::<Envelope<M>>(self.wire.inbox());
+        self.wire.received(&env, self.h.now());
         env
     }
 
     fn compute(&mut self, ops: u64) {
-        if ops == 0 {
-            return;
+        if let Some(d) = self.wire.compute_time(ops, self.h.now()) {
+            self.h.advance(d);
         }
-        let factor = self.shared.lock().load.factor(self.rank.0, self.h.now());
-        self.h
-            .advance(self.machine.ops_duration(ops).mul_f64(factor));
     }
 
     fn now(&self) -> SimTime {
@@ -294,40 +334,10 @@ impl<M: WireSize + Clone + Send + 'static> Transport for SimTransport<'_, '_, M>
         // and wakes this process either at the exact arrival time of the
         // next message or exactly at the deadline — never in between.
         let armed_at = self.h.now();
-        let deadline = armed_at + timeout;
         let env = self
             .h
-            .recv_deadline_as::<Envelope<M>>(self.mailboxes[self.rank.0], deadline);
-        if let Some(r) = self.rec.as_deref_mut() {
-            let now = self.h.now();
-            let waited_ns = (now - armed_at).as_nanos();
-            match &env {
-                Some(env) => {
-                    let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::RecvWakeup {
-                            from: env.src.0 as u32,
-                            waited_ns,
-                        },
-                    );
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::MsgRecv {
-                            from: env.src.0 as u32,
-                            bytes,
-                        },
-                    );
-                }
-                None => r.mark(
-                    self.rank.0 as u32,
-                    now.as_nanos(),
-                    Mark::TimerFired { waited_ns },
-                ),
-            }
-        }
+            .recv_deadline_as::<Envelope<M>>(self.wire.inbox(), armed_at + timeout);
+        self.wire.woke(env.as_ref(), armed_at, self.h.now());
         env
     }
 
@@ -338,34 +348,24 @@ impl<M: WireSize + Clone + Send + 'static> Transport for SimTransport<'_, '_, M>
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.shared.lock().counters[self.rank.0]
+        self.wire.fault_counters()
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
+        self.wire.rec.as_deref_mut()
     }
 }
 
-/// A rank's endpoint on a simulated cluster, for *stackless* ranks.
+/// A rank's endpoint on a simulated cluster, for `async` ranks.
 ///
 /// The async twin of [`SimTransport`]: created by [`run_sim_proc_cluster`]
-/// and moved into the per-rank `async` body. Where `SimTransport` drives a
-/// `ProcessHandle` (one parked OS thread per rank), `SimIo` drives an
-/// [`AsyncHandle`] — each `.await` suspends the rank's state machine into
-/// the `desim` event kernel, so thousands of ranks share one OS thread.
-///
-/// Every modelled effect (fate-before-network ordering, crash-window drops,
-/// duplicate copies re-consulting the medium, load-scaled compute, telemetry
-/// marks) is line-for-line the same as [`SimTransport`]'s, which is what
-/// makes runs on the two kernels bit-identical.
+/// and moved into the per-rank `async` body. It drives an [`AsyncHandle`]
+/// — each `.await` suspends the rank's state machine into the `desim` event
+/// kernel, so thousands of ranks share one OS thread — over the same wire
+/// model as `SimTransport`.
 pub struct SimIo<M> {
     h: AsyncHandle,
-    rank: Rank,
-    size: usize,
-    machine: MachineSpec,
-    mailboxes: Arc<Vec<MailboxId>>,
-    shared: Arc<Mutex<SharedNet<M>>>,
-    rec: Option<Box<dyn Recorder>>,
+    wire: Wire<M>,
 }
 
 impl<M: Send + 'static> SimIo<M> {
@@ -382,13 +382,13 @@ impl<M: Send + 'static> SimIo<M> {
 
     /// The capacity of the machine this rank runs on.
     pub fn machine(&self) -> MachineSpec {
-        self.machine
+        self.wire.machine
     }
 
     /// Attach a structured telemetry sink for this rank (see
     /// [`SimTransport::set_recorder`]).
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
+        self.wire.rec = Some(rec);
     }
 }
 
@@ -396,166 +396,35 @@ impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for 
     type Msg = M;
 
     fn rank(&self) -> Rank {
-        self.rank
+        self.wire.rank
     }
 
     fn size(&self) -> usize {
-        self.size
+        self.wire.size
     }
 
     async fn send(&mut self, to: Rank, tag: Tag, msg: M) {
-        assert!(to.0 < self.size, "send to out-of-range rank {to}");
-        assert_ne!(to, self.rank, "self-sends are not modelled");
-        let bytes = msg.wire_size() + HEADER_BYTES;
-        let ctx = MsgCtx {
-            src: self.rank.0,
-            dst: to.0,
-            bytes,
-            now: self.h.now(),
-        };
-        // Fate first, then the network: a dropped message never touches
-        // the medium, so fault-free runs see the identical delay stream.
-        let (fate, delay) = {
-            let mut sh = self.shared.lock();
-            let fate = sh.faults.model.fate(&ctx);
-            let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, ctx.now);
-            if !fate.deliver || down {
-                sh.counters[self.rank.0].dropped += 1;
-                drop(sh);
-                if let Some(r) = self.rec.as_deref_mut() {
-                    let t_ns = self.h.now().as_nanos();
-                    let rank = self.rank.0 as u32;
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MsgSent {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MessageDropped {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                }
-                return;
-            }
-            sh.counters[self.rank.0].delivered += 1;
-            if fate.extra_copies > 0 {
-                sh.counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            (fate, sh.net.delay(&ctx))
-        };
-        let mut msg = msg;
-        if fate.corrupt_amp > 0.0 {
-            let mut sh = self.shared.lock();
-            sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
-            let salt = sh.corrupt_salt;
-            if let Some(c) = sh.faults.corruptor.as_mut() {
-                c(&mut msg, fate.corrupt_amp, salt);
-            }
+        for (mbox, delay, env) in self.wire.send(to, tag, msg, self.h.now()) {
+            self.h.send(mbox, delay, env).await;
         }
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.h.now().as_nanos();
-            let rank = self.rank.0 as u32;
-            r.mark(
-                rank,
-                t_ns,
-                Mark::MsgSent {
-                    to: to.0 as u32,
-                    bytes: bytes as u64,
-                },
-            );
-            if fate.extra_copies > 0 {
-                r.mark(
-                    rank,
-                    t_ns,
-                    Mark::MessageDuplicated {
-                        to: to.0 as u32,
-                        copies: fate.extra_copies,
-                    },
-                );
-            }
-        }
-        // Each extra copy re-consults the network: duplicates occupy the
-        // medium like any other message.
-        for _ in 0..fate.extra_copies {
-            let d = self.shared.lock().net.delay(&ctx);
-            self.h
-                .send(
-                    self.mailboxes[to.0],
-                    d,
-                    Envelope {
-                        src: self.rank,
-                        tag,
-                        msg: msg.clone(),
-                    },
-                )
-                .await;
-        }
-        self.h
-            .send(
-                self.mailboxes[to.0],
-                delay,
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    msg,
-                },
-            )
-            .await;
     }
 
     async fn try_recv(&mut self) -> Option<Envelope<M>> {
-        let env = self
-            .h
-            .try_recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])
-            .await?;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        let env = self.h.try_recv_as::<Envelope<M>>(self.wire.inbox()).await?;
+        self.wire.received(&env, self.h.now());
         Some(env)
     }
 
     async fn recv(&mut self) -> Envelope<M> {
-        let env = self
-            .h
-            .recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])
-            .await;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        let env = self.h.recv_as::<Envelope<M>>(self.wire.inbox()).await;
+        self.wire.received(&env, self.h.now());
         env
     }
 
     async fn compute(&mut self, ops: u64) {
-        if ops == 0 {
-            return;
+        if let Some(d) = self.wire.compute_time(ops, self.h.now()) {
+            self.h.advance(d).await;
         }
-        let factor = self.shared.lock().load.factor(self.rank.0, self.h.now());
-        self.h
-            .advance(self.machine.ops_duration(ops).mul_f64(factor))
-            .await;
     }
 
     fn now(&self) -> SimTime {
@@ -569,45 +438,13 @@ impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for 
         if timeout == SimDuration::ZERO {
             return None;
         }
-        // Event-driven timed receive: the kernel arms one deadline timer
-        // and wakes this process either at the exact arrival time of the
-        // next message or exactly at the deadline — never in between.
+        // Same event-driven timed receive as `SimTransport::recv_timeout`.
         let armed_at = self.h.now();
-        let deadline = armed_at + timeout;
         let env = self
             .h
-            .recv_deadline_as::<Envelope<M>>(self.mailboxes[self.rank.0], deadline)
+            .recv_deadline_as::<Envelope<M>>(self.wire.inbox(), armed_at + timeout)
             .await;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let now = self.h.now();
-            let waited_ns = (now - armed_at).as_nanos();
-            match &env {
-                Some(env) => {
-                    let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::RecvWakeup {
-                            from: env.src.0 as u32,
-                            waited_ns,
-                        },
-                    );
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::MsgRecv {
-                            from: env.src.0 as u32,
-                            bytes,
-                        },
-                    );
-                }
-                None => r.mark(
-                    self.rank.0 as u32,
-                    now.as_nanos(),
-                    Mark::TimerFired { waited_ns },
-                ),
-            }
-        }
+        self.wire.woke(env.as_ref(), armed_at, self.h.now());
         env
     }
 
@@ -618,11 +455,11 @@ impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for 
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.shared.lock().counters[self.rank.0]
+        self.wire.fault_counters()
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
+        self.wire.rec.as_deref_mut()
     }
 }
 
@@ -733,53 +570,22 @@ where
     R: Send + 'static,
     F: for<'a, 'h> Fn(&mut SimTransport<'a, 'h, M>) -> R + Send + Sync + 'static,
 {
-    let mut sim = Simulation::new();
-    if options.trace {
-        sim.enable_tracing();
-    }
-    if options.check_scheduling {
-        sim.enable_scheduling_checks();
-    }
-    sim.set_tie_break(options.tie_break);
-    let p = cluster.len();
-    let mailboxes: Vec<MailboxId> = (0..p).map(|_| sim.create_mailbox()).collect();
-    let shared = Arc::new(Mutex::new(SharedNet {
-        net: Box::new(net),
-        load: Box::new(load),
-        faults,
-        counters: vec![FaultCounters::default(); p],
-        corrupt_salt: 0,
-    }));
+    let (mut sim, wires) = build_cluster(cluster, Box::new(net), Box::new(load), faults, options);
     let f = Arc::new(f);
-
-    let results: Vec<_> = (0..p)
-        .map(|r| {
-            let mailboxes = mailboxes.clone();
-            let shared = Arc::clone(&shared);
-            let machine = cluster.machines()[r];
+    let results: Vec<_> = wires
+        .enumerate()
+        .map(|(r, wire)| {
             let f = Arc::clone(&f);
             sim.spawn(format!("rank{r}"), move |h| {
-                let mut t = SimTransport {
+                f(&mut SimTransport {
                     h,
-                    rank: Rank(r),
-                    size: p,
-                    machine,
-                    mailboxes,
-                    shared,
-                    rec: None,
+                    wire,
                     _lifetime: PhantomData,
-                };
-                f(&mut t)
+                })
             })
         })
         .collect();
-
-    let report = sim.run()?;
-    let outs = results
-        .iter()
-        .map(|pr| pr.take().expect("rank finished without a result"))
-        .collect();
-    Ok((outs, report))
+    collect_results(sim, &results)
 }
 
 /// [`run_sim_cluster`] on the stackless kernel: every rank is an `async`
@@ -877,6 +683,28 @@ where
     F: Fn(SimIo<M>) -> Fut,
     Fut: std::future::Future<Output = R> + 'static,
 {
+    let (mut sim, wires) = build_cluster(cluster, Box::new(net), Box::new(load), faults, options);
+    let results: Vec<_> = wires
+        .enumerate()
+        .map(|(r, wire)| sim.spawn_async(format!("rank{r}"), |h| f(SimIo { h, wire })))
+        .collect();
+    collect_results(sim, &results)
+}
+
+/// The kernel and the per-rank wires both cluster runners start from.
+/// Mailboxes are created in rank order, so `MailboxId(r) == r`; they and
+/// the models are shared by `Arc`, since at 100k ranks per-rank copies
+/// would be O(p²) memory traffic.
+fn build_cluster<'c, M>(
+    cluster: &'c ClusterSpec,
+    net: Box<dyn NetworkModel>,
+    load: Box<dyn LoadModel>,
+    faults: FaultSpec<M>,
+    options: SimClusterOptions,
+) -> (Simulation, impl Iterator<Item = Wire<M>> + 'c)
+where
+    M: 'c,
+{
     let mut sim = Simulation::new();
     if options.trace {
         sim.enable_tracing();
@@ -886,37 +714,34 @@ where
     }
     sim.set_tie_break(options.tie_break);
     let p = cluster.len();
-    // Mailboxes created in rank order, so MailboxId(r) == r — the same ids
-    // the threaded entry points allocate. Shared by Arc: at 100k ranks a
-    // per-rank Vec clone would be O(p²) memory traffic.
     let mailboxes: Arc<Vec<MailboxId>> = Arc::new((0..p).map(|_| sim.create_mailbox()).collect());
     let shared = Arc::new(Mutex::new(SharedNet {
-        net: Box::new(net),
-        load: Box::new(load),
+        net,
+        load,
         faults,
         counters: vec![FaultCounters::default(); p],
         corrupt_salt: 0,
     }));
+    let wires = cluster
+        .machines()
+        .iter()
+        .enumerate()
+        .map(move |(r, &machine)| Wire {
+            rank: Rank(r),
+            size: p,
+            machine,
+            mailboxes: Arc::clone(&mailboxes),
+            shared: Arc::clone(&shared),
+            rec: None,
+        });
+    (sim, wires)
+}
 
-    let results: Vec<_> = (0..p)
-        .map(|r| {
-            let machine = cluster.machines()[r];
-            let io_mailboxes = Arc::clone(&mailboxes);
-            let io_shared = Arc::clone(&shared);
-            sim.spawn_async(format!("rank{r}"), |h| {
-                f(SimIo {
-                    h,
-                    rank: Rank(r),
-                    size: p,
-                    machine,
-                    mailboxes: io_mailboxes,
-                    shared: io_shared,
-                    rec: None,
-                })
-            })
-        })
-        .collect();
-
+/// Run the kernel and collect every rank's result, in rank order.
+fn collect_results<R>(
+    sim: Simulation,
+    results: &[ProcessResult<R>],
+) -> Result<(Vec<R>, SimReport), SimError> {
     let report = sim.run()?;
     let outs = results
         .iter()
@@ -1347,7 +1172,7 @@ mod tests {
     #[test]
     fn stackless_cluster_matches_threaded_bit_for_bit() {
         // The same workload — broadcasts, contended medium, compute, timed
-        // receives — on the threaded and the stackless kernel must produce
+        // receives — on thread-backed and async ranks must produce
         // identical results, end times, and kernel counters.
         let cluster = ClusterSpec::paper_model_example();
         let net = || SharedMedium::new(SimDuration::from_micros(200), 1.25e6);
@@ -1366,7 +1191,7 @@ mod tests {
                     t.compute(10_000);
                 }
                 // All messages are consumed: this exercises the timer path
-                // and must expire at exactly +50 us on both kernels.
+                // and must expire at exactly +50 us on both front-ends.
                 assert!(t.recv_timeout(SimDuration::from_micros(50)).is_none());
                 (t.now().as_nanos(), acc)
             },

@@ -28,18 +28,25 @@ pub struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Tally one allocation (or reallocation) of `size` bytes on this thread.
+fn note(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,4 +63,15 @@ pub fn count<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = allocations_here();
     let out = f();
     (allocations_here() - before, out)
+}
+
+/// Run `f` and return the size in bytes of the largest single heap
+/// allocation (or reallocation) it made on this thread, alongside its
+/// result. Only meaningful when [`CountingAlloc`] is the registered global
+/// allocator of the running binary.
+pub fn largest_allocation<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let outer = LARGEST.with(|c| c.replace(0));
+    let out = f();
+    let largest = LARGEST.with(|c| c.replace(outer.max(c.get())));
+    (largest, out)
 }

@@ -28,14 +28,14 @@ pub struct RunOutput {
     /// Virtual end time in seconds (simulation runs only).
     pub elapsed: f64,
     /// The simulation kernel's own counters (simulation runs only) —
-    /// compared bit-for-bit between the threaded and stackless kernels by
-    /// the differential suite.
+    /// compared bit-for-bit between thread-backed and async ranks by the
+    /// differential suite.
     pub kernel: Option<KernelReport>,
 }
 
 /// The comparable subset of [`desim::SimReport`]: every kernel counter
-/// that must agree between the threaded and the stackless execution model
-/// for a run to count as bit-identical.
+/// that must agree between thread-backed and async ranks for a run to
+/// count as bit-identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelReport {
     /// Virtual end time in nanoseconds.
@@ -229,7 +229,7 @@ pub fn run_sim_with_faults(
     }
 }
 
-/// [`run_sim`] on the *stackless* kernel: every rank is a resumable state
+/// [`run_sim`] with *async* ranks: every rank is a resumable state
 /// machine inside the event kernel (no OS thread per rank), with the
 /// kernel's scheduling-invariant oracle armed. Produces bit-identical
 /// output to [`run_sim`] — that is the tentpole claim the differential

@@ -25,7 +25,7 @@
 //! estimator state is updated in deterministic order, and quantiles are
 //! computed over a sorted copy with total ordering. No wall-clock value
 //! ever enters the estimators, so per-seed bit-reproducibility and the
-//! stackless/threaded equivalence harness are preserved.
+//! thread-backed/async equivalence harness are preserved.
 
 use desim::{SimDuration, SimTime};
 

@@ -93,7 +93,7 @@ impl<S: WireSize> WireSize for IterMsg<S> {
 /// The real encoding matches the [`WireSize`] model above byte-for-byte,
 /// so socket runs put exactly the modelled payload on the wire. Full
 /// frames encode exactly as the pre-delta `IterMsg` did (iteration stamp,
-/// then payload); delta frames set [`DELTA_BIT`] in the stamp.
+/// then payload); delta frames set `DELTA_BIT` in the stamp.
 impl<S: WireCodec> WireCodec for IterMsg<S> {
     fn encode(&self, out: &mut Vec<u8>) {
         match &self.body {

@@ -54,7 +54,7 @@ impl PhaseBreakdown {
 
 /// Everything one rank measured during a run.
 ///
-/// `PartialEq` so differential suites can assert two kernels produced
+/// `PartialEq` so differential suites can assert two runs produced
 /// identical statistics wholesale.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunStats {
